@@ -194,6 +194,9 @@ impl Experiment for Fig7Faults {
             .scenario(scenario)
             .sampling(PairSampling::UniformRandom { pairs: cfg.pairs })
             .trials(cfg.trials)
+            // The engine already runs points in parallel; a nested pool
+            // would make the trace's lane count depend on scheduling.
+            .threads(1)
             .seed(ctx.seed)
             .run_on(topo)
             .map_err(e)?;
@@ -594,6 +597,7 @@ impl Experiment for Fig17Adversarial {
                 .router(router)
                 .seed(ctx.seed)
                 .trials(trials)
+                .threads(1)
                 .run_on(topo)
                 .map_err(e)
         };

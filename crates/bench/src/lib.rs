@@ -8,12 +8,11 @@
 //! stdout table and, when a JSON directory is given, drops a
 //! deterministic rows artifact plus a provenance manifest there.
 //!
-//! The historical one-binary-per-figure entry points still exist as thin
-//! shims over the registry. Run e.g.:
+//! Run them through the CLI, e.g.:
 //!
 //! ```text
 //! cargo run -p abccc-cli --release -- experiments run --all --preset tiny
-//! cargo run -p abccc-bench --release --bin fig6_throughput
+//! cargo run -p abccc-cli --release -- experiments run fig6_throughput --preset paper --json DIR
 //! ```
 
 #![forbid(unsafe_code)]
@@ -23,8 +22,6 @@ pub mod cache;
 pub mod engine;
 pub mod experiments;
 pub mod registry;
-
-use serde::Serialize;
 
 /// A fixed-width text table that prints like the paper's tables.
 #[derive(Debug, Clone)]
@@ -87,95 +84,6 @@ impl Table {
     pub fn print(&self) {
         print!("{}", self.render());
         println!();
-    }
-}
-
-/// Writes a JSON artifact next to the table when `ABCCC_BENCH_JSON` is set
-/// to a directory; silently skips otherwise.
-pub fn emit_json<T: Serialize>(name: &str, value: &T) {
-    let Ok(dir) = std::env::var("ABCCC_BENCH_JSON") else {
-        return;
-    };
-    let dir = std::path::Path::new(&dir);
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("warning: could not create {}: {e}", dir.display());
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
-}
-
-/// Telemetry wrapper for one experiment binary.
-///
-/// [`BenchRun::start`] turns recording on; the builder methods collect the
-/// run's topology parameters and RNG seed; [`BenchRun::finish`] prints the
-/// one-line `config:` echo and — when `ABCCC_BENCH_JSON` names a directory
-/// — writes `<name>.manifest.json` (provenance + per-phase timing) and
-/// `<name>.metrics.jsonl` (raw span/metric events) next to the data
-/// artifacts.
-#[derive(Debug)]
-pub struct BenchRun {
-    manifest: dcn_telemetry::RunManifest,
-}
-
-impl BenchRun {
-    /// Starts a telemetry-recorded experiment run.
-    pub fn start(experiment: &str) -> BenchRun {
-        dcn_telemetry::set_enabled(true);
-        BenchRun {
-            manifest: dcn_telemetry::RunManifest::new(experiment),
-        }
-    }
-
-    /// Records a named parameter (e.g. `n`, `k`, `h`).
-    pub fn param(&mut self, key: &str, value: impl ToString) -> &mut Self {
-        self.manifest.param(key, value);
-        self
-    }
-
-    /// Records the RNG seed driving the run.
-    pub fn seed(&mut self, seed: u64) -> &mut Self {
-        self.manifest.seed(seed);
-        self
-    }
-
-    /// Records a topology the run exercised.
-    pub fn topology(&mut self, name: impl Into<String>) -> &mut Self {
-        self.manifest.topology(name);
-        self
-    }
-
-    /// Prints the `config:` line and writes the manifest + metrics
-    /// artifacts (when `ABCCC_BENCH_JSON` is set).
-    pub fn finish(mut self) {
-        let spans = dcn_telemetry::drain_spans();
-        let metrics = dcn_telemetry::registry().snapshot();
-        self.manifest.set_phases(&spans);
-        println!("{}", self.manifest.config_line());
-        let Ok(dir) = std::env::var("ABCCC_BENCH_JSON") else {
-            return;
-        };
-        let dir = std::path::Path::new(&dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("warning: could not create {}: {e}", dir.display());
-            return;
-        }
-        let name = &self.manifest.experiment;
-        let manifest_path = dir.join(format!("{name}.manifest.json"));
-        if let Err(e) = self.manifest.write(&manifest_path) {
-            eprintln!("warning: could not write {}: {e}", manifest_path.display());
-        }
-        let metrics_path = dir.join(format!("{name}.metrics.jsonl"));
-        if let Err(e) = dcn_telemetry::write_jsonl(&metrics_path, &spans, &metrics) {
-            eprintln!("warning: could not write {}: {e}", metrics_path.display());
-        }
     }
 }
 

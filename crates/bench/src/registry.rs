@@ -3,9 +3,8 @@
 //! Every table/figure of the evaluation is an [`Experiment`]: a name, a
 //! paper reference, a parameter grid per scale [`Preset`], and a point
 //! function returning serializable [`Row`]s. The registry is the single
-//! index over them — `abccc-cli experiments list|run` and the 20
-//! `fig*`/`table*` shim binaries all resolve specs here and hand them to
-//! the shared [`engine`](crate::engine).
+//! index over them — `abccc-cli experiments list|run` resolves specs here
+//! and hands them to the shared [`engine`](crate::engine).
 //!
 //! Determinism contract: a point's randomness comes only from
 //! [`PointCtx::seed`], derived from the experiment's base seed and the
@@ -229,26 +228,6 @@ pub fn all() -> &'static [&'static dyn Experiment] {
 /// Looks up an experiment by registry name.
 pub fn find(name: &str) -> Option<&'static dyn Experiment> {
     all().iter().copied().find(|e| e.name() == name)
-}
-
-/// Entry point of the `fig*`/`table*` shim binaries: runs the named
-/// experiment at the `paper` preset, printing the historical stdout table
-/// and honoring `ABCCC_BENCH_JSON` for artifacts. Exits non-zero on
-/// failure.
-pub fn shim_main(name: &str) {
-    let Some(spec) = find(name) else {
-        eprintln!("error: experiment `{name}` is not registered");
-        std::process::exit(2);
-    };
-    let opts = crate::engine::RunOptions {
-        preset: Preset::Paper,
-        json_dir: std::env::var("ABCCC_BENCH_JSON").ok().map(Into::into),
-        ..Default::default()
-    };
-    if let Err(e) = crate::engine::run(&[spec], &opts) {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    }
 }
 
 #[cfg(test)]

@@ -181,21 +181,20 @@ const USAGE: &str = "usage:
                                              seeded fault campaign with degradation
                                              report (any family; non-ABCCC specs run
                                              on their native routing plane)
-  abccc-cli fib compile <spec>|<n> <k> <h> [--layout dense|hier]
-                                             compile the forwarding table, print stats
-  abccc-cli fib query   <spec>|<n> <k> <h> <src> <dst> [--shards N] [--layout dense|hier]
+  abccc-cli fib compile <spec>|<n> <k> <h>  compile the forwarding table, print stats
+  abccc-cli fib query   <spec>|<n> <k> <h> <src> <dst> [--shards N]
       [--fail-rate R] [--fail-seed S]        answer one query from the compiled table
   abccc-cli fib bench   <spec>|<n> <k> <h> [--queries N] [--seed N] [--shards N]
-      [--fail-rate R] [--layout dense|hier] [--digest FILE]
+      [--fail-rate R] [--digest FILE]
                                              batched route-service throughput; --digest
                                              writes a deterministic result digest (JSON)
-  abccc-cli serve  <spec>|<n> <k> <h> [--port P] [--shards N] [--layout dense|hier]
+  abccc-cli serve  <spec>|<n> <k> <h> [--port P] [--shards N]
       [--max-inflight N] [--max-batch N]      serve the compiled FIB over TCP
                                              (127.0.0.1, --port 0 = ephemeral; prints
                                              the bound address, runs until stdin EOF,
                                              then drains and exits 0)
   abccc-cli loadgen <spec>|<n> <k> <h> [--connections N] [--frames N] [--batch N]
-      [--window N] [--seed N] [--shards N] [--layout dense|hier]
+      [--window N] [--seed N] [--shards N]
                                              loopback load generator: spawn a server,
                                              drive it, report throughput + RTT
                                              quantiles + the deterministic digest
@@ -1011,17 +1010,11 @@ fn fib_cmd(args: &[String], json: bool) -> Result<(), String> {
     let shards = num("--shards", 8)? as usize;
     let fail_rate = fnum("--fail-rate", 0.0)?;
     let fail_seed = num("--fail-seed", 0)?;
-    let layout = match flag_value(rest, "--layout") {
-        None => dcn_fib::FibLayout::Dense,
-        Some(s) => dcn_fib::FibLayout::parse(&s)
-            .ok_or_else(|| format!("unknown layout `{s}` (dense|hier)"))?,
-    };
 
     let build_service = || -> Result<(RouteService, f64), String> {
         let topo = Abccc::new(p).map_err(|e| e.to_string())?;
         let t0 = std::time::Instant::now();
-        let mut svc =
-            RouteService::compile_with_layout(topo, layout, shards).map_err(|e| e.to_string())?;
+        let mut svc = RouteService::compile(topo, shards).map_err(|e| e.to_string())?;
         let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
         if fail_rate > 0.0 {
             let mask = FaultScenario::seeded(fail_seed)
@@ -1043,7 +1036,6 @@ fn fib_cmd(args: &[String], json: bool) -> Result<(), String> {
                         ("topology", Value::Str(p.to_string())),
                         ("servers", Value::U64(u64::from(fib.servers()))),
                         ("strategy", Value::Str(fib.strategy().label().to_string())),
-                        ("layout", Value::Str(fib.layout().label().to_string())),
                         ("table_bytes", Value::U64(fib.bytes() as u64)),
                         ("shards", Value::U64(svc.shard_count() as u64)),
                         ("compile_ms", Value::F64(compile_ms)),
@@ -1055,7 +1047,6 @@ fn fib_cmd(args: &[String], json: bool) -> Result<(), String> {
             }
             println!("{p}: compiled forwarding table");
             println!("  strategy     {}", fib.strategy().label());
-            println!("  layout       {}", fib.layout().label());
             println!("  servers      {}", fib.servers());
             println!("  table size   {:.1} KiB", fib.bytes() as f64 / 1024.0);
             println!("  shards       {}", svc.shard_count());
@@ -1266,13 +1257,8 @@ fn compile_for_serving(rest: &[String], p: AbcccParams) -> Result<dcn_fib::Route
         None => 8,
         Some(s) => s.parse().map_err(|_| "--shards expects a number")?,
     };
-    let layout = match flag_value(rest, "--layout") {
-        None => dcn_fib::FibLayout::Dense,
-        Some(s) => dcn_fib::FibLayout::parse(&s)
-            .ok_or_else(|| format!("unknown layout `{s}` (dense|hier)"))?,
-    };
     let topo = Abccc::new(p).map_err(|e| e.to_string())?;
-    dcn_fib::RouteService::compile_with_layout(topo, layout, shards).map_err(|e| e.to_string())
+    dcn_fib::RouteService::compile(topo, shards).map_err(|e| e.to_string())
 }
 
 fn serve_cmd(args: &[String]) -> Result<(), String> {

@@ -373,7 +373,6 @@ fn fib_compile_reports_table_stats() {
     let out = stdout(&["fib", "compile", "2", "2", "2"]);
     assert!(out.contains("compiled forwarding table"));
     assert!(out.contains("strategy     destination-aware"));
-    assert!(out.contains("layout       dense"));
     assert!(out.contains("servers      24"));
 }
 
@@ -395,36 +394,6 @@ fn fib_accepts_abccc_specs_only() {
     let out = cli(&["fib", "compile", "jellyfish:v=8,r=3,seed=7"]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("requires an ABCCC topology"));
-}
-
-#[test]
-fn fib_compile_hier_layout_is_smaller() {
-    let dense = stdout(&["--json", "fib", "compile", "2", "2", "2"]);
-    let hier = stdout(&[
-        "--json", "fib", "compile", "2", "2", "2", "--layout", "hier",
-    ]);
-    let bytes = |text: &str, layout: &str| -> u64 {
-        let v: serde::Value = serde_json::from_str(text).expect("valid JSON");
-        let serde::Value::Map(m) = v else {
-            panic!("expected object")
-        };
-        let got = m
-            .iter()
-            .find_map(|(k, v)| (k == "layout").then_some(v))
-            .expect("layout field");
-        assert_eq!(got, &serde::Value::Str(layout.to_string()));
-        match m
-            .iter()
-            .find_map(|(k, v)| (k == "table_bytes").then_some(v))
-        {
-            Some(serde::Value::U64(b)) => *b,
-            other => panic!("table_bytes missing or non-numeric: {other:?}"),
-        }
-    };
-    assert!(
-        bytes(&hier, "hier") < bytes(&dense, "dense"),
-        "hier layout must be smaller than dense even at 24 servers"
-    );
 }
 
 #[test]
@@ -472,46 +441,6 @@ fn fib_bench_digest_is_shard_independent() {
     assert!(m.iter().any(|(k, _)| k == "route_hash"));
     assert!(m.iter().any(|(k, _)| k == "fallbacks"));
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The digest deliberately excludes the layout, so a hier-layout bench run
-/// must reproduce the dense digest byte for byte — the CLI-level version of
-/// the table-equivalence proptests.
-#[test]
-fn fib_bench_digest_is_layout_independent() {
-    let dir = std::env::temp_dir().join(format!("abccc_cli_fib_layout_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let dense = dir.join("dense.json");
-    let hier = dir.join("hier.json");
-    for (layout, path) in [("dense", &dense), ("hier", &hier)] {
-        let out = stdout(&[
-            "fib",
-            "bench",
-            "2",
-            "2",
-            "2",
-            "--queries",
-            "1000",
-            "--fail-rate",
-            "0.1",
-            "--layout",
-            layout,
-            "--digest",
-            path.to_str().expect("utf-8 path"),
-        ]);
-        assert!(out.contains("lookups/s"));
-    }
-    let a = std::fs::read(&dense).expect("digest written");
-    let b = std::fs::read(&hier).expect("digest written");
-    assert_eq!(a, b, "bench digest must not depend on the FIB layout");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn fib_rejects_bad_layout() {
-    let out = cli(&["fib", "compile", "2", "1", "2", "--layout", "sparse"]);
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown layout"));
 }
 
 #[test]

@@ -6,22 +6,18 @@
 //! This crate does the same for the ABCCC stack:
 //!
 //! * [`FibCompiler`] lowers a deterministic
-//!   [`PermStrategy`](abccc::PermStrategy) into a flat, destination-major
-//!   table of packed `u32` port pairs — one entry per
-//!   `(source server, destination server)` — compiled in parallel with
-//!   the same work-stealing pattern as `netgraph`'s distance engine.
-//!   The correctness of per-server tables rests on the **suffix
-//!   property** of the deterministic digit-correction strategies (see
-//!   the module docs of the compiler); the seeded `Random` strategy
-//!   lacks it and is rejected at compile time.
-//! * [`Fib`] is the immutable compiled artifact in the **dense** layout:
-//!   O(1) per-hop lookups, `4·N²` bytes for `N` servers, safely shareable
-//!   across threads. [`HierFib`] is the same contract in the
-//!   **hierarchical digit-structured** layout — per-level sub-tables
-//!   keyed by address digits at `O(N·levels + E)` bytes, the layout that
-//!   breaks the O(V²) wall for 10⁵+-server instances (where a dense
-//!   table would need tens of gigabytes). [`FibTable`] holds either;
-//!   [`FibLayout`] names the choice.
+//!   [`PermStrategy`](abccc::PermStrategy) into per-server next-hop
+//!   tables in one O(E) pass over the adjacency lists. The correctness
+//!   of per-server tables rests on the **suffix property** of the
+//!   deterministic digit-correction strategies (see the module docs of
+//!   the compiler); the seeded `Random` strategy lacks it and is rejected
+//!   at compile time.
+//! * [`HierFib`] is the immutable compiled artifact, in a
+//!   **hierarchical digit-structured** layout: per-level sub-tables keyed
+//!   by address digits at `O(N·levels + E)` bytes, O(levels) integer work
+//!   per hop, safely shareable across threads. It breaks the O(V²) wall
+//!   for 10⁵+-server instances, where a dense `(source, destination)`
+//!   table would need `4·N²` bytes — tens of gigabytes.
 //! * [`RouteService`] is the query front end: single and batched
 //!   src→dst lookups, a lock-free healthy hot path, and per-shard patch
 //!   caches that memoize [`ResilientRouter`](abccc::ResilientRouter)
@@ -56,9 +52,7 @@
 mod compile;
 mod hier;
 mod service;
-mod table;
 
-pub use compile::{compile_shortest, compile_shortest_hier, Fib, FibCompiler, FibError};
+pub use compile::{compile_shortest, FibCompiler, FibError};
 pub use hier::HierFib;
-pub use service::{InvalidationReport, RouteService};
-pub use table::{FibLayout, FibTable};
+pub use service::{FibLayout, InvalidationReport, RouteService};

@@ -1,8 +1,8 @@
 //! The sharded concurrent route-query service.
 //!
-//! [`RouteService`] answers src→dst queries from a compiled [`Fib`]. The
-//! healthy hot path is lock-free: a table walk over an immutable slab,
-//! nothing shared but reads. Under an installed fault mask the walk
+//! [`RouteService`] answers src→dst queries from a compiled [`HierFib`].
+//! The healthy hot path is lock-free: a table walk over immutable port
+//! tables, nothing shared but reads. Under an installed fault mask the walk
 //! additionally checks liveness per hop; only when the compiled route is
 //! actually broken does the query fall back to a full
 //! [`ResilientRouter`] recomputation, whose outcome is memoized in a
@@ -31,8 +31,8 @@
 //! can only stay that way. Any *repair* (non-superset mask) clears all
 //! patches — cheap, because the compiled table itself never recompiles.
 
-use crate::compile::{Fib, FibCompiler, FibError};
-use crate::table::{FibLayout, FibTable};
+use crate::compile::{FibCompiler, FibError};
+use crate::hier::HierFib;
 use abccc::router::{check_endpoints, pair_seed};
 use abccc::vlb::route_two_stage_with;
 use abccc::{Abccc, PermStrategy, ResilientRouter, RetryBudget, RouteOutcome, ServerAddr};
@@ -41,6 +41,15 @@ use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The forwarding-table layout [`RouteService::compile_with_layout`]
+/// takes. [`HierFib`] is the only layout; this name and that method stay
+/// until the next benchmark change, whose harness still calls them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FibLayout {
+    /// The hierarchical digit-structured [`HierFib`].
+    Hier,
+}
 
 /// What [`RouteService::apply_mask`] did to the patch caches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,19 +72,19 @@ struct Shard {
 }
 
 /// A sharded, concurrently-queryable forwarding plane over a compiled
-/// [`Fib`] (see the module docs for the equivalence and invalidation
+/// [`HierFib`] (see the module docs for the equivalence and invalidation
 /// contracts).
 #[derive(Debug)]
 pub struct RouteService {
     topo: Abccc,
-    table: FibTable,
+    table: HierFib,
     budget: RetryBudget,
     mask: Option<FaultMask>,
     shards: Vec<Shard>,
 }
 
 impl RouteService {
-    /// Builds a service over an already-compiled dense table. `shards` is
+    /// Builds a service over an already-compiled table. `shards` is
     /// rounded up to a power of two and clamped to `[1, 1024]`.
     ///
     /// # Errors
@@ -84,18 +93,7 @@ impl RouteService {
     ///   destination-aware (see the equivalence contract);
     /// * [`FibError::TopologyMismatch`] — the table covers a different
     ///   server count than `topo`.
-    pub fn new(topo: Abccc, fib: Fib, shards: usize) -> Result<Self, FibError> {
-        RouteService::with_table(topo, FibTable::Dense(fib), shards)
-    }
-
-    /// Builds a service over an already-compiled table in either layout.
-    /// Every contract (equivalence, invalidation, batch ordering) is
-    /// layout-independent: both layouts answer lookups bit-identically.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RouteService::new`].
-    pub fn with_table(topo: Abccc, table: FibTable, shards: usize) -> Result<Self, FibError> {
+    pub fn new(topo: Abccc, table: HierFib, shards: usize) -> Result<Self, FibError> {
         if table.strategy() != PermStrategy::DestinationAware {
             return Err(FibError::ServiceRequiresShortest {
                 strategy: table.strategy().label(),
@@ -117,32 +115,30 @@ impl RouteService {
         })
     }
 
-    /// Compiles the destination-aware table for `topo` in the dense layout
-    /// and wraps it in a service — the one-call entry point.
+    /// Compiles the destination-aware table for `topo` and wraps it in a
+    /// service — the one-call entry point.
     ///
     /// # Errors
     ///
     /// Propagates [`FibCompiler::compile`] and [`RouteService::new`]
     /// failures.
     pub fn compile(topo: Abccc, shards: usize) -> Result<Self, FibError> {
-        let fib = FibCompiler::shortest().compile(&topo)?;
-        RouteService::new(topo, fib, shards)
+        let table = FibCompiler::shortest().compile(&topo)?;
+        RouteService::new(topo, table, shards)
     }
 
-    /// Compiles the destination-aware table for `topo` in the requested
-    /// layout and wraps it in a service. At 10⁵+ servers, only
-    /// [`FibLayout::Hier`] is practical — the dense table is `4·N²` bytes.
+    /// Same as [`RouteService::compile`]; goes with [`FibLayout`] at the
+    /// next benchmark change.
     ///
     /// # Errors
     ///
-    /// Propagates compile and [`RouteService::with_table`] failures.
+    /// Same as [`RouteService::compile`].
     pub fn compile_with_layout(
         topo: Abccc,
-        layout: FibLayout,
+        _layout: FibLayout,
         shards: usize,
     ) -> Result<Self, FibError> {
-        let table = FibTable::compile(PermStrategy::DestinationAware, layout, &topo)?;
-        RouteService::with_table(topo, table, shards)
+        RouteService::compile(topo, shards)
     }
 
     /// Replaces the [`RetryBudget`] the faulted fallback escalates under.
@@ -161,7 +157,7 @@ impl RouteService {
     }
 
     /// The compiled table the service answers from.
-    pub fn table(&self) -> &FibTable {
+    pub fn table(&self) -> &HierFib {
         &self.table
     }
 

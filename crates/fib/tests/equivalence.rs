@@ -3,7 +3,7 @@
 //! any shard count — and incremental invalidation never changes an answer.
 
 use abccc::{Abccc, AbcccParams, DigitRouter, ResilientRouter, RetryBudget, Router, VlbRouter};
-use dcn_fib::{FibLayout, RouteService};
+use dcn_fib::RouteService;
 use netgraph::{FaultScenario, NodeId, RouteError, Topology};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -193,64 +193,6 @@ proptest! {
         let mut fresh0 = RouteService::compile(topo(3, 2, 2), 4).expect("service");
         fresh0.apply_mask(masks[0].clone());
         prop_assert_eq!(grown.query_batch(&pairs), fresh0.query_batch(&pairs));
-    }
-
-    /// Layout is invisible: a hierarchical-layout service accumulates the
-    /// same fault-mask chain as a dense-layout one and answers every query
-    /// — healthy, faulted, batched, VLB — bit-identically, at any shard
-    /// count (the two services may even shard differently).
-    #[test]
-    fn hier_layout_matches_dense_under_accumulated_masks(
-        which in 0usize..GRIDS.len(),
-        dense_shards in 1usize..5,
-        hier_shards in 1usize..5,
-        scen_seed in 0u64..300,
-        vlb_seed in 0u64..1000,
-        pair_seed in any::<u64>(),
-        count in 1usize..25,
-    ) {
-        let (n, k, h) = GRIDS[which];
-        let t = topo(n, k, h);
-        let pairs = sample_pairs(t.params().server_count(), pair_seed, count);
-
-        let mut dense =
-            RouteService::compile_with_layout(topo(n, k, h), FibLayout::Dense, dense_shards)
-                .expect("dense service");
-        let mut hier =
-            RouteService::compile_with_layout(topo(n, k, h), FibLayout::Hier, hier_shards)
-                .expect("hier service");
-        prop_assert_eq!(dense.table().layout(), FibLayout::Dense);
-        prop_assert_eq!(hier.table().layout(), FibLayout::Hier);
-        prop_assert!(dense.table().bytes() > hier.table().bytes());
-
-        // Healthy plane first.
-        prop_assert_eq!(dense.query_batch(&pairs), hier.query_batch(&pairs));
-
-        // Then a nested chain of masks, warming patch caches between steps.
-        let scenarios = [
-            FaultScenario::seeded(scen_seed).fail_servers_frac(0.05),
-            FaultScenario::seeded(scen_seed)
-                .fail_servers_frac(0.05)
-                .fail_switches_frac(0.08),
-            FaultScenario::seeded(scen_seed)
-                .fail_servers_frac(0.05)
-                .fail_switches_frac(0.08)
-                .fail_links_frac(0.06),
-        ];
-        for scenario in &scenarios {
-            let m = scenario.build(t.network());
-            let rd = dense.apply_mask(m.clone());
-            let rh = hier.apply_mask(m);
-            prop_assert_eq!(rd.incremental, rh.incremental);
-            prop_assert_eq!(dense.query_batch(&pairs), hier.query_batch(&pairs));
-            for &(s, d) in &pairs {
-                prop_assert_eq!(
-                    dense.query_vlb(vlb_seed, s, d),
-                    hier.query_vlb(vlb_seed, s, d),
-                    "vlb pair {} -> {}", s, d
-                );
-            }
-        }
     }
 }
 

@@ -79,7 +79,9 @@ pub struct LoadgenReport {
     pub digest: String,
     /// Wall-clock duration of the generation phase, nanoseconds.
     pub elapsed_ns: u64,
-    /// Items per second ([`LoadgenReport::requests`] ÷ elapsed).
+    /// Answered items per second (([`LoadgenReport::ok`] +
+    /// [`LoadgenReport::route_errors`]) ÷ elapsed); items of rejected
+    /// frames do not count.
     pub lookups_per_sec: f64,
     /// Client-measured per-frame round trip, p50, nanoseconds.
     pub rtt_p50_ns: u64,
@@ -157,6 +159,7 @@ pub fn run_against(
         rtt.merge(&r.rtt);
     }
     let requests = (connections * cfg.frames * cfg.batch.max(1)) as u64;
+    let answered = ok + route_errors;
     Ok(LoadgenReport {
         connections,
         frames: cfg.frames,
@@ -172,7 +175,7 @@ pub fn run_against(
         lookups_per_sec: if elapsed_ns == 0 {
             0.0
         } else {
-            requests as f64 / (elapsed_ns as f64 / 1e9)
+            answered as f64 / (elapsed_ns as f64 / 1e9)
         },
         rtt_p50_ns: rtt.percentile(0.50),
         rtt_p99_ns: rtt.percentile(0.99),

@@ -64,6 +64,22 @@ fn digest_tracks_the_seed() {
     assert_ne!(a.digest, b.digest);
 }
 
+/// Rejected frames are not lookups: with every loadgen frame over the
+/// server's batch cap, each one draws a `BatchTooLarge` reject and the
+/// reported lookup rate is zero.
+#[test]
+fn rejected_items_do_not_count_as_lookups() {
+    let serve_cfg = ServeConfig {
+        max_batch: 4,
+        ..ServeConfig::default()
+    };
+    let cfg = harness_cfg(7); // batch 8 > max_batch 4
+    let (report, _) = run_loopback(service(2), serve_cfg, &cfg).expect("loopback run");
+    assert_eq!(report.rejects, (cfg.connections * cfg.frames) as u64);
+    assert_eq!(report.ok + report.route_errors, 0);
+    assert_eq!(report.lookups_per_sec, 0.0);
+}
+
 /// Graceful shutdown joins every connection thread and reports the
 /// count; a second server can immediately rebind an ephemeral port.
 #[test]

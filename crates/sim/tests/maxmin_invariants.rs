@@ -4,7 +4,7 @@
 //! and the round counters are consistent with the calls made.
 
 use abccc::{Abccc, AbcccParams};
-use flowsim::{max_min_allocation, DirectedLink, FlowSim};
+use dcn_sim::{max_min_allocation, DirectedLink, FlowSim};
 use netgraph::{Route, Topology};
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard, PoisonError};

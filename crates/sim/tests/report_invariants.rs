@@ -4,8 +4,8 @@
 //! telemetry counters must advance by exactly the report's totals.
 
 use abccc::{Abccc, AbcccParams};
+use dcn_sim::{FlowSpec, PacketSim, PacketSimConfig};
 use netgraph::Topology;
-use packetsim::{FlowSpec, PacketSim, PacketSimConfig};
 use rand::SeedableRng;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -17,7 +17,7 @@ fn lock() -> MutexGuard<'static, ()> {
     GUARD.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-fn run_shuffle(buffer_packets: u32) -> packetsim::PacketSimReport {
+fn run_shuffle(buffer_packets: u32) -> dcn_sim::PacketSimReport {
     let topo = Abccc::new(AbcccParams::new(3, 2, 2).unwrap()).unwrap();
     let n = topo.network().server_count();
     let mut rng = rand::rngs::StdRng::seed_from_u64(0x8E9);

@@ -269,7 +269,12 @@ mod tests {
                 // The thread-local stack still parents grandchildren
                 // under the cross-thread child.
                 let _grand = SpanGuard::enter("span.test.cross.grand");
-            });
+            })
+            // An explicit join waits for the thread's exit, so its
+            // thread-local span buffer has flushed; the scope's implicit
+            // join does not wait for thread-local destructors.
+            .join()
+            .expect("span thread");
         });
         drop(root);
         crate::set_enabled(false);
@@ -292,10 +297,16 @@ mod tests {
         let _lock = crate::test_guard();
         crate::set_enabled(true);
         std::thread::scope(|s| {
-            for _ in 0..3 {
-                s.spawn(|| {
-                    let _g = SpanGuard::enter("span.test.worker");
-                });
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _g = SpanGuard::enter("span.test.worker");
+                    })
+                })
+                .collect();
+            // Explicit joins wait for thread exit, i.e. for the flush.
+            for w in workers {
+                w.join().expect("span worker");
             }
         });
         crate::set_enabled(false);
