@@ -1,13 +1,17 @@
-//! The sharded concurrent route-query service.
+//! The concurrent route-query service.
 //!
 //! [`RouteService`] answers src→dst queries from a compiled [`HierFib`].
 //! The healthy hot path is lock-free: a table walk over immutable port
-//! tables, nothing shared but reads. Under an installed fault mask the walk
+//! tables, nothing shared but reads, so any number of threads can query
+//! one service at once. Under an installed fault mask the walk
 //! additionally checks liveness per hop; only when the compiled route is
 //! actually broken does the query fall back to a full
 //! [`ResilientRouter`] recomputation, whose outcome is memoized in a
-//! per-shard patch cache so each broken pair pays the escalation ladder
-//! once.
+//! patch cache so each broken pair pays the escalation ladder once. The
+//! cache is split into mutex-guarded shards by pair hash, so concurrent
+//! fallbacks contend only within a shard. The shard count changes nothing
+//! else: [`RouteService::query_batch`] is a plain loop over
+//! [`RouteService::query`] on the caller's thread.
 //!
 //! # Equivalence contract (pinned by the property tests)
 //!
@@ -39,7 +43,6 @@ use abccc::{Abccc, PermStrategy, ResilientRouter, RetryBudget, RouteOutcome, Ser
 use netgraph::{FaultMask, FaultScenario, NodeId, Route, RouteError, Topology};
 use rand::SeedableRng;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// The forwarding-table layout [`RouteService::compile_with_layout`]
@@ -84,8 +87,9 @@ pub struct RouteService {
 }
 
 impl RouteService {
-    /// Builds a service over an already-compiled table. `shards` is
-    /// rounded up to a power of two and clamped to `[1, 1024]`.
+    /// Builds a service over an already-compiled table. `shards`, the
+    /// number of patch-cache shards, is rounded up to a power of two and
+    /// clamped to `[1, 1024]`.
     ///
     /// # Errors
     ///
@@ -182,7 +186,7 @@ impl RouteService {
     #[inline]
     fn shard_of(&self, src: NodeId, dst: NodeId) -> &Shard {
         // SplitMix64 finalizer over the pair — decorrelates shard choice
-        // from id locality so batches spread evenly.
+        // from id locality so patches spread evenly.
         let mut z = pair_seed(0x5A_4D17, src, dst).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         &self.shards[(z >> 32) as usize & (self.shards.len() - 1)]
@@ -246,45 +250,15 @@ impl RouteService {
         outcome
     }
 
-    /// Answers a batch of queries, partitioned across shards and executed
-    /// on one scoped thread per (occupied) shard. Results come back in
-    /// input order and are bit-identical to calling [`RouteService::query`]
-    /// sequentially — per-pair answers are pure given the installed mask,
-    /// so the shard count and scheduling never show in the output.
+    /// Answers a batch of queries in input order: [`RouteService::query`]
+    /// per pair on the calling thread, so the answers are bit-identical to
+    /// a sequential loop. Callers that want parallelism run batches from
+    /// several threads (the route server runs one per connection); shards
+    /// only partition the fallback patch cache those threads share.
     pub fn query_batch(&self, pairs: &[(NodeId, NodeId)]) -> Vec<Result<RouteOutcome, RouteError>> {
         let _span = dcn_telemetry::span!("fib.query_batch");
         dcn_telemetry::counter!("fib.batches").inc();
-        let mut by_shard: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
-        for (i, &(s, d)) in pairs.iter().enumerate() {
-            let mut z = pair_seed(0x5A_4D17, s, d).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            by_shard[(z >> 32) as usize & (self.shards.len() - 1)].push(i);
-        }
-        let slots: Mutex<Vec<Option<Result<RouteOutcome, RouteError>>>> =
-            Mutex::new(vec![None; pairs.len()]);
-        let occupied: Vec<&Vec<usize>> = by_shard.iter().filter(|ix| !ix.is_empty()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..occupied.len() {
-                scope.spawn(|| loop {
-                    let w = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(indices) = occupied.get(w) else {
-                        break;
-                    };
-                    for &i in *indices {
-                        let (s, d) = pairs[i];
-                        let r = self.query(s, d);
-                        slots.lock().expect("batch slots")[i] = Some(r);
-                    }
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("batch slots")
-            .into_iter()
-            .map(|r| r.expect("every pair answered"))
-            .collect()
+        pairs.iter().map(|&(s, d)| self.query(s, d)).collect()
     }
 
     /// Valiant load balancing from the compiled table: same per-pair RNG

@@ -17,6 +17,8 @@
 //! * exact minimum cuts via Dinic max-flow ([`maxflow`]): bisection width of
 //!   a bipartition, pairwise edge/vertex connectivity,
 //! * vertex-disjoint path extraction ([`paths`]),
+//! * the ordered parallel map every multi-threaded caller runs on
+//!   ([`par::map_indexed`]),
 //! * the [`Route`] type and the [`Topology`] trait implemented by every
 //!   concrete network family (ABCCC, BCCC, BCube, DCell, fat-tree, …) so
 //!   that the flow- and packet-level simulators work over any of them.
@@ -51,6 +53,7 @@ mod error;
 mod fault;
 mod graph;
 pub mod maxflow;
+pub mod par;
 pub mod paths;
 mod route;
 pub mod sample;

@@ -30,8 +30,6 @@
 use crate::distance::{BfsScratch, DistanceEngine, SourceStats};
 use crate::{Network, NodeId};
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// A sampled point estimate with its 95% confidence half-width.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -123,42 +121,12 @@ pub fn sampled_server_metrics(net: &Network, samples: usize, seed: u64) -> Optio
     })
 }
 
-/// Runs one [`DistanceEngine::source_stats_into`] per source, work-stolen
-/// across threads, results placed in source order.
+/// Runs one [`DistanceEngine::source_stats_into`] per source on every
+/// core, one [`BfsScratch`] per worker, results placed in source order.
 fn run_sources(engine: &DistanceEngine<'_>, sources: &[NodeId]) -> Vec<Option<SourceStats>> {
-    let threads = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(sources.len());
-    if threads <= 1 {
-        let mut scratch = BfsScratch::new();
-        return sources
-            .iter()
-            .map(|&src| engine.source_stats_into(src, &mut scratch))
-            .collect();
-    }
-    let slots: Vec<Mutex<Option<SourceStats>>> =
-        (0..sources.len()).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = BfsScratch::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= sources.len() {
-                        break;
-                    }
-                    *slots[i].lock().expect("slot poisoned") =
-                        engine.source_stats_into(sources[i], &mut scratch);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().expect("slot poisoned"))
-        .collect()
+    crate::par::map_indexed(sources.len(), 0, BfsScratch::new, |scratch, i| {
+        engine.source_stats_into(sources[i], scratch)
+    })
 }
 
 /// Result of seeded balanced-bipartition bisection probing.

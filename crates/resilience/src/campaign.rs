@@ -10,8 +10,6 @@ use dcn_sim::{max_min_allocation, DirectedLink};
 use netgraph::{FaultMask, Network, NetworkError, NodeId, Route, RouteError, Topology};
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which [`Router`] a campaign drives.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -246,58 +244,26 @@ impl CampaignConfig {
         }
         let _span = dcn_telemetry::span!("resilience.campaign");
         dcn_telemetry::counter!("resilience.campaigns").inc();
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        }
-        .min(self.trials)
-        .max(1);
-
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<TrialReport>>> = Mutex::new(vec![None; self.trials]);
-        let first_err: Mutex<Option<RouteError>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let router = match plane {
-                        Plane::Abccc { router, .. } => Some(router()),
-                        Plane::Native { .. } => None,
-                    };
-                    loop {
-                        let trial = next.fetch_add(1, Ordering::Relaxed);
-                        if trial >= self.trials {
-                            break;
-                        }
-                        let result = match plane {
-                            Plane::Abccc { topo, .. } => {
-                                let router = router.as_deref().expect("abccc plane router");
-                                run_trial(self, topo, router, trial)
-                            }
-                            Plane::Native { topo } => run_trial_native(self, *topo, trial),
-                        };
-                        match result {
-                            Ok(report) => {
-                                slots.lock().expect("trial slots")[trial] = Some(report);
-                            }
-                            Err(e) => {
-                                first_err.lock().expect("err slot").get_or_insert(e);
-                                break;
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(e) = first_err.into_inner().expect("err slot") {
-            return Err(e);
-        }
-        let trials: Vec<TrialReport> = slots
-            .into_inner()
-            .expect("trial slots")
-            .into_iter()
-            .map(|t| t.expect("every trial completed"))
-            .collect();
+        // One router per worker. Every trial runs and the lowest-index
+        // failure is returned, so the error, like the report, is the same
+        // at any thread count.
+        let trials = netgraph::par::map_indexed(
+            self.trials,
+            self.threads,
+            || match plane {
+                Plane::Abccc { router, .. } => Some(router()),
+                Plane::Native { .. } => None,
+            },
+            |router, trial| match plane {
+                Plane::Abccc { topo, .. } => {
+                    let router = router.as_deref().expect("abccc plane router");
+                    run_trial(self, topo, router, trial)
+                }
+                Plane::Native { topo } => run_trial_native(self, *topo, trial),
+            },
+        )
+        .into_iter()
+        .collect::<Result<Vec<TrialReport>, RouteError>>()?;
         dcn_telemetry::counter!("resilience.trials").add(trials.len() as u64);
         Ok(CampaignReport::summarize(
             plane.topology().name(),
@@ -699,6 +665,40 @@ mod tests {
         let serial = base().threads(1).run_on(&t).unwrap();
         let parallel = base().threads(4).run_on(&t).unwrap();
         assert_eq!(serial, parallel);
+    }
+
+    /// Refuses every pair, naming its source: each trial fails on its own
+    /// first pair, so the reported error identifies the trial.
+    struct Refuses;
+
+    impl Router for Refuses {
+        fn name(&self) -> String {
+            "refuses".into()
+        }
+
+        fn route(
+            &self,
+            _: &Abccc,
+            src: NodeId,
+            _: NodeId,
+            _: Option<&FaultMask>,
+        ) -> Result<abccc::RouteOutcome, RouteError> {
+            Err(RouteError::NotAServer(src))
+        }
+    }
+
+    #[test]
+    fn the_lowest_failing_trial_is_reported_at_any_thread_count() {
+        let t = cube();
+        let refuses = || Box::new(Refuses) as Box<dyn Router>;
+        let config = base().trials(8).measure_throughput(false);
+        let first = config.trials(1).run_with(&t, &refuses).unwrap_err();
+        let serial = config.threads(1).run_with(&t, &refuses).unwrap_err();
+        assert_eq!(serial, first);
+        for _ in 0..20 {
+            let parallel = config.threads(4).run_with(&t, &refuses).unwrap_err();
+            assert_eq!(parallel, serial);
+        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   panic) — pinned by property tests.
 //! * [`RouteServer`] — a TCP front end: per-connection framing threads,
 //!   opportunistic coalescing of pipelined frames into **one**
-//!   [`query_batch`](dcn_fib::RouteService::query_batch) execution (the
-//!   sharded thread-per-core path), per-connection in-flight budgets
+//!   [`query_batch`](dcn_fib::RouteService::query_batch) execution on
+//!   the connection's own thread, per-connection in-flight budgets
 //!   with typed `REJECT` replies, and graceful drain on shutdown. A
 //!   batch executes under one mask epoch even while a mask push is
 //!   waiting.

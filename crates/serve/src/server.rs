@@ -3,11 +3,12 @@
 //!
 //! # Threading model
 //!
-//! One accept loop plus one thread per accepted connection; the
-//! *execution* underneath is thread-per-core — every coalesced batch
-//! funnels into [`RouteService::query_batch`], which fans the pairs out
-//! across the service's shards on scoped worker threads. Connection
-//! threads do only framing, admission and socket I/O.
+//! One accept loop plus one thread per accepted connection. Each
+//! connection thread does its own framing, admission and socket I/O, and
+//! executes its coalesced batches itself: [`RouteService::query_batch`]
+//! is a loop over the pairs on the calling thread. Parallelism comes from
+//! connections running side by side over the one shared service; its
+//! shards only partition the fallback patch cache they share.
 //!
 //! # Batching
 //!

@@ -31,7 +31,6 @@ use dcn_fib::RouteService;
 use dcn_telemetry::HdrHistogram;
 use netgraph::{FaultMask, NodeId, Route, RouteError, Topology};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which routing plane resolves scenario flows.
@@ -215,10 +214,11 @@ impl<'a> TrafficEngine<'a> {
         Ok(report)
     }
 
-    /// Runs a scenario batch with `threads` work-stealing workers.
-    /// Reports come back in input order and are byte-identical at any
-    /// thread count. [`RoutePlane::Fib`] batches run sequentially (the
-    /// shared service holds one fault mask at a time).
+    /// Runs a scenario batch on `threads` workers (`0` = every core; see
+    /// [`netgraph::par::map_indexed`]). Reports come back in input order
+    /// and are byte-identical at any thread count. [`RoutePlane::Fib`]
+    /// batches run on one thread (the shared service holds one fault mask
+    /// at a time).
     ///
     /// # Errors
     ///
@@ -231,32 +231,16 @@ impl<'a> TrafficEngine<'a> {
         let threads = if matches!(self.plane, RoutePlane::Fib(_)) {
             1
         } else {
-            threads.max(1).min(scenarios.len().max(1))
+            threads
         };
-        if threads <= 1 {
-            return scenarios.iter().map(|s| self.run(s)).collect();
-        }
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Result<ScenarioReport, EngineError>>>> =
-            Mutex::new((0..scenarios.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::SeqCst);
-                    if i >= scenarios.len() {
-                        break;
-                    }
-                    let r = self.run(&scenarios[i]);
-                    slots.lock().expect("slot lock poisoned")[i] = Some(r);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("slot lock poisoned")
-            .into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
+        netgraph::par::map_indexed(
+            scenarios.len(),
+            threads,
+            || (),
+            |(), i| self.run(&scenarios[i]),
+        )
+        .into_iter()
+        .collect()
     }
 
     /// The packet-fidelity adapter: scenario flows → packet trains, run

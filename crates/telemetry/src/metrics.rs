@@ -218,19 +218,25 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
     (lower, lower.wrapping_add(width - 1))
 }
 
-/// Nearest-rank quantile over a sparse `(bucket index, count)` list
-/// (sorted by index), reported as the bucket upper bound clamped to the
-/// recorded maximum.
-fn quantile_sparse(buckets: &[(u16, u64)], count: u64, max: u64, q: f64) -> u64 {
+/// Nearest-rank `q`-quantile over `(bucket index, count)` pairs in index
+/// order, reported as the bucket upper bound clamped to the recorded
+/// maximum. The one quantile routine behind [`Histogram::percentile`],
+/// [`HdrHistogram::percentile`] and [`HistogramSnapshot`].
+fn nearest_rank(
+    buckets: impl IntoIterator<Item = (usize, u64)>,
+    count: u64,
+    max: u64,
+    q: f64,
+) -> u64 {
     if count == 0 {
         return 0;
     }
     let rank = ((count as f64 * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, count);
     let mut seen = 0u64;
-    for &(i, n) in buckets {
+    for (i, n) in buckets {
         seen += n;
         if seen >= rank {
-            return bucket_bounds(i as usize).1.min(max);
+            return bucket_bounds(i).1.min(max);
         }
     }
     max
@@ -321,47 +327,26 @@ impl Histogram {
     /// within [`MAX_RELATIVE_ERROR`] above the true sample value.
     /// Returns 0 for an empty histogram; `q` is clamped to `[0, 1]`.
     pub fn percentile(&self, q: f64) -> u64 {
-        let total = self.count();
-        if total == 0 {
-            return 0;
-        }
-        let rank = ((total as f64 * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, total);
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= rank {
-                return bucket_bounds(i).1.min(self.max());
-            }
-        }
-        self.max()
+        nearest_rank(self.counts(), self.count(), self.max(), q)
     }
 
     /// Point-in-time copy for rendering and merging.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let buckets: Vec<(u16, u64)> = self
-            .buckets
+        HistogramSnapshot::new(
+            self.name.clone(),
+            self.count(),
+            self.sum(),
+            self.max(),
+            self.counts(),
+        )
+    }
+
+    /// `(bucket index, count)` for every bucket, in index order.
+    fn counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets
             .iter()
+            .map(|b| b.load(Ordering::Relaxed))
             .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then_some((i as u16, n))
-            })
-            .collect();
-        let mut snap = HistogramSnapshot {
-            name: self.name.clone(),
-            count: self.count(),
-            sum: self.sum(),
-            max: self.max(),
-            mean: 0.0,
-            p50: 0,
-            p90: 0,
-            p99: 0,
-            p999: 0,
-            p9999: 0,
-            buckets,
-        };
-        snap.recompute();
-        snap
     }
 
     fn reset(&self) {
@@ -450,43 +435,23 @@ impl HdrHistogram {
 
     /// Same quantile semantics as [`Histogram::percentile`].
     pub fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((self.count as f64 * q.clamp(0.0, 1.0)).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return bucket_bounds(i).1.min(self.max);
-            }
-        }
-        self.max
+        nearest_rank(self.counts(), self.count, self.max, q)
     }
 
     /// Point-in-time copy under the given display name.
     pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
-        let buckets: Vec<(u16, u64)> = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &n)| (n > 0).then_some((i as u16, n)))
-            .collect();
-        let mut snap = HistogramSnapshot {
-            name: name.to_string(),
-            count: self.count,
-            sum: self.sum,
-            max: self.max,
-            mean: 0.0,
-            p50: 0,
-            p90: 0,
-            p99: 0,
-            p999: 0,
-            p9999: 0,
-            buckets,
-        };
-        snap.recompute();
-        snap
+        HistogramSnapshot::new(
+            name.to_string(),
+            self.count,
+            self.sum,
+            self.max,
+            self.counts(),
+        )
+    }
+
+    /// `(bucket index, count)` for every bucket, in index order.
+    fn counts(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.buckets.iter().copied().enumerate()
     }
 }
 
@@ -519,6 +484,41 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Builds a snapshot from its raw totals and `(bucket index, count)`
+    /// pairs in index order (empty buckets are dropped), deriving the mean
+    /// and the quantiles.
+    fn new(
+        name: String,
+        count: u64,
+        sum: u64,
+        max: u64,
+        counts: impl IntoIterator<Item = (usize, u64)>,
+    ) -> Self {
+        let buckets: Vec<(u16, u64)> = counts
+            .into_iter()
+            .filter(|&(_, n)| n > 0)
+            .map(|(i, n)| (i as u16, n))
+            .collect();
+        let q = |q| nearest_rank(sparse(&buckets), count, max, q);
+        HistogramSnapshot {
+            mean: if count == 0 {
+                0.0
+            } else {
+                sum as f64 / count as f64
+            },
+            p50: q(0.50),
+            p90: q(0.90),
+            p99: q(0.99),
+            p999: q(0.999),
+            p9999: q(0.9999),
+            name,
+            count,
+            sum,
+            max,
+            buckets,
+        }
+    }
+
     /// Folds `other`'s samples into `self` (bucket-wise) and recomputes
     /// the derived statistics. Because buckets are value-addressed, the
     /// result is independent of merge order — the property test suite
@@ -555,32 +555,26 @@ impl HistogramSnapshot {
                 }
             }
         }
-        self.buckets = merged;
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.max = self.max.max(other.max);
-        self.recompute();
-    }
-
-    /// Recomputes mean and quantiles from the bucket list.
-    fn recompute(&mut self) {
-        self.mean = if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        };
-        self.p50 = quantile_sparse(&self.buckets, self.count, self.max, 0.50);
-        self.p90 = quantile_sparse(&self.buckets, self.count, self.max, 0.90);
-        self.p99 = quantile_sparse(&self.buckets, self.count, self.max, 0.99);
-        self.p999 = quantile_sparse(&self.buckets, self.count, self.max, 0.999);
-        self.p9999 = quantile_sparse(&self.buckets, self.count, self.max, 0.9999);
+        *self = HistogramSnapshot::new(
+            std::mem::take(&mut self.name),
+            self.count + other.count,
+            self.sum.wrapping_add(other.sum),
+            self.max.max(other.max),
+            sparse(&merged),
+        );
     }
 
     /// Nearest-rank quantile over the snapshot's buckets (same semantics
     /// as [`Histogram::percentile`]).
     pub fn percentile(&self, q: f64) -> u64 {
-        quantile_sparse(&self.buckets, self.count, self.max, q)
+        nearest_rank(sparse(&self.buckets), self.count, self.max, q)
     }
+}
+
+/// A snapshot's sparse bucket list as the `(index, count)` pairs
+/// [`nearest_rank`] walks.
+fn sparse(buckets: &[(u16, u64)]) -> impl Iterator<Item = (usize, u64)> + '_ {
+    buckets.iter().map(|&(i, n)| (usize::from(i), n))
 }
 
 /// Point-in-time copy of every registered metric, sorted by name.

@@ -168,8 +168,8 @@ fi
 echo "== serve gate (loadgen digest determinism, shard invariance, clean serve exit)"
 # The loopback loadgen's reply digest must be byte-identical across runs
 # and shard counts for a fixed seed: the server's thread interleavings,
-# frame coalescing, and sharded batch execution are all invisible in the
-# reply bytes. `serve` with stdin at EOF must bind, drain, and exit 0.
+# frame coalescing, and the patch-cache shard count are all invisible in
+# the reply bytes. `serve` with stdin at EOF must bind, drain, and exit 0.
 SERVE_GEN=(--json loadgen 2 2 2 --connections 4 --frames 32 --batch 8 --window 4 --seed 11)
 SV_A="$("$CLI" "${SERVE_GEN[@]}" --shards 1 | grep '"digest"')"
 SV_B="$("$CLI" "${SERVE_GEN[@]}" --shards 1 | grep '"digest"')"
