@@ -161,39 +161,65 @@ mod tests {
         assert!(err.unwrap_err().to_string().contains("random"));
     }
 
-    #[test]
-    fn walks_match_on_demand_routes_for_every_deterministic_strategy() {
-        for (n, k, h) in [(2, 2, 2), (3, 1, 2), (2, 3, 3), (3, 1, 3)] {
-            let t = topo(n, k, h);
-            let p = *t.params();
-            let net = t.network();
-            for strategy in [
-                PermStrategy::DestinationAware,
-                PermStrategy::CyclicFromSource,
-                PermStrategy::Ascending,
-                PermStrategy::Descending,
-                PermStrategy::Greedy,
-            ] {
-                let fib = FibCompiler::new(strategy).compile(&t).unwrap();
-                let router = DigitRouter::new(strategy);
-                for s in 0..p.server_count() as u32 {
-                    for d in 0..p.server_count() as u32 {
-                        let walked = fib.route(net, NodeId(s), NodeId(d));
-                        let direct = router.route_addrs(
-                            &p,
-                            ServerAddr::from_node_id(&p, NodeId(s)),
-                            ServerAddr::from_node_id(&p, NodeId(d)),
-                        );
-                        assert_eq!(
-                            walked,
-                            direct,
-                            "ABCCC({n},{k},{h}) {} {s}->{d}",
-                            strategy.label()
-                        );
-                    }
-                }
+    const DETERMINISTIC: [PermStrategy; 5] = [
+        PermStrategy::DestinationAware,
+        PermStrategy::CyclicFromSource,
+        PermStrategy::Ascending,
+        PermStrategy::Descending,
+        PermStrategy::Greedy,
+    ];
+
+    /// Walks every `(s, d)` pair through each deterministic strategy's
+    /// table and compares with `DigitRouter::route_addrs`.
+    fn assert_walks_match(t: &Abccc, pairs: &[(u32, u32)]) {
+        let p = *t.params();
+        let net = t.network();
+        for strategy in DETERMINISTIC {
+            let fib = FibCompiler::new(strategy).compile(t).unwrap();
+            let router = DigitRouter::new(strategy);
+            for &(s, d) in pairs {
+                let walked = fib.route(net, NodeId(s), NodeId(d));
+                let direct = router.route_addrs(
+                    &p,
+                    ServerAddr::from_node_id(&p, NodeId(s)),
+                    ServerAddr::from_node_id(&p, NodeId(d)),
+                );
+                assert_eq!(walked, direct, "{p} {} {s}->{d}", strategy.label());
             }
         }
+    }
+
+    #[test]
+    fn walks_match_on_demand_routes_for_every_deterministic_strategy() {
+        // (2,4,3): m = 3 with two-level owner blocks; (4,2,2): n = 4.
+        for (n, k, h) in [
+            (2, 2, 2),
+            (3, 1, 2),
+            (2, 3, 3),
+            (3, 1, 3),
+            (2, 4, 3),
+            (4, 2, 2),
+        ] {
+            let t = topo(n, k, h);
+            let servers = t.params().server_count() as u32;
+            let pairs: Vec<(u32, u32)> = (0..servers)
+                .flat_map(|s| (0..servers).map(move |d| (s, d)))
+                .collect();
+            assert_walks_match(&t, &pairs);
+        }
+    }
+
+    #[test]
+    fn walks_match_on_demand_routes_on_a_sample_of_the_served_shape() {
+        // ABCCC(8,3,3), the shape the batch route-server workload serves.
+        use rand::{Rng, SeedableRng};
+        let t = topo(8, 3, 3);
+        let servers = t.params().server_count() as u32;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x8_3_3);
+        let pairs: Vec<(u32, u32)> = (0..20_000)
+            .map(|_| (rng.gen_range(0..servers), rng.gen_range(0..servers)))
+            .collect();
+        assert_walks_match(&t, &pairs);
     }
 
     #[test]

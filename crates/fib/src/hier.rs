@@ -20,10 +20,16 @@
 //! table needs tens of gigabytes — while every walk reproduces
 //! `DigitRouter::route_addrs` bit for bit (pinned exhaustively for every
 //! deterministic strategy by the compiler's unit tests, and under healthy
-//! *and* accumulated-fault queries by the service proptests). The
-//! first-level decision itself comes from the allocation-free
-//! [`PermStrategy::first`], so a lookup does O(levels) integer work and
-//! touches two `u16` cells.
+//! *and* accumulated-fault queries by the service proptests).
+//!
+//! A walk decodes the destination once: its group position, its digit at
+//! every level, and the bitmask of levels where the source's label
+//! differs. It then carries that cursor hop by hop. A level-switch hop
+//! clears its level's bit; a crossbar hop changes only the position. The
+//! first-level decision is [`PermStrategy::first_differing`] on the mask
+//! and the two positions — shifts and bit scans — and the switch a hop
+//! crosses is read off the adjacency list, so each hop costs two `u16`
+//! port cells and two adjacency reads, with no digit arithmetic.
 //!
 //! Port tables are filled by decoding the network's actual adjacency
 //! lists (O(E) compile), not by assuming the generator's emission order —
@@ -32,11 +38,15 @@
 
 use crate::compile::FibError;
 use abccc::{Abccc, AbcccParams, PermStrategy, ServerAddr, SwitchAddr};
-use netgraph::{FaultMask, Network, NodeId, Route, Topology};
+use netgraph::{FaultMask, LinkId, Network, NodeId, Route, Topology};
 
 /// Sentinel for port cells no valid lookup dereferences (e.g. the
 /// level-switch slot of a level the server does not own).
 const NO_PORT: u16 = u16::MAX;
+
+/// Most levels a label can have (`k ≤ 19`, enforced by
+/// [`AbcccParams::new`]).
+const MAX_LEVELS: usize = 20;
 
 /// A compiled forwarding table in the hierarchical digit-structured
 /// layout: for every `(server, destination)` pair, the next two hops (via
@@ -50,6 +60,16 @@ pub struct HierFib {
     params: AbcccParams,
     servers: u32,
     max_nodes: u32,
+    /// Digit base `n`.
+    n: u32,
+    /// Group size `m`.
+    m: u32,
+    /// Number of levels `k + 1`.
+    levels: u32,
+    /// Node id of the first level switch (after servers and crossbars).
+    level_base: u32,
+    /// The group position owning each level.
+    owner: [u32; MAX_LEVELS],
     /// Egress port of server `u` toward its group crossbar; empty when
     /// `m == 1` (the BCube endpoint has no crossbars).
     crossbar_sport: Vec<u16>,
@@ -134,6 +154,10 @@ pub(crate) fn compile(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, F
         }
     }
 
+    let mut owner = [0; MAX_LEVELS];
+    for (level, o) in owner[..levels].iter_mut().enumerate() {
+        *o = p.owner(level as u32);
+    }
     let fib = HierFib {
         strategy,
         params: p,
@@ -141,6 +165,11 @@ pub(crate) fn compile(strategy: PermStrategy, topo: &Abccc) -> Result<HierFib, F
         // Worst-case node count of any strategy's route: 4 nodes per
         // corrected level plus the final crossbar pair plus the source.
         max_nodes: 4 * p.levels() + 3,
+        n: p.n(),
+        m: p.group_size(),
+        levels: p.levels(),
+        level_base: (servers + crossbars) as u32,
+        owner,
         crossbar_sport,
         level_sport,
         crossbar_wport,
@@ -171,43 +200,123 @@ impl HierFib {
             * std::mem::size_of::<u16>()
     }
 
-    /// The `(server port, switch port)` pair for a hop, or `None` on the
-    /// diagonal.
-    pub fn ports(&self, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
+    /// The route-length bound: no strategy's route has more nodes.
+    pub(crate) fn max_nodes(&self) -> usize {
+        self.max_nodes as usize
+    }
+
+    /// The `(server port, switch port)` pair for the first hop from `at`
+    /// toward `toward`, or `None` on the diagonal.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is not a server of the table.
+    pub fn ports(&self, net: &Network, at: NodeId, toward: NodeId) -> Option<(u16, u16)> {
         if at == toward {
             return None;
         }
-        let p = &self.params;
-        let su = ServerAddr::from_node_id(p, at);
-        let sd = ServerAddr::from_node_id(p, toward);
-        let levels = p.levels() as usize;
-        let n = p.n() as usize;
-        let m = p.group_size() as usize;
-        Some(match self.strategy.first(p, su, sd) {
-            Some(level) => {
-                let owner = p.owner(level);
-                if su.pos == owner {
-                    // Correct the first digit through the owned level
-                    // switch, exiting toward the destination's digit.
-                    let sport = self.level_sport[at.index() * levels + level as usize];
-                    let compact = u64::from(level) * p.rest_space() + su.label.rest_index(p, level);
-                    let wport =
-                        self.level_wport[compact as usize * n + sd.label.digit(p, level) as usize];
-                    (sport, wport)
-                } else {
-                    // Reach the owner through the group crossbar first.
-                    (
-                        self.crossbar_sport[at.index()],
-                        self.crossbar_wport[su.label.0 as usize * m + owner as usize],
-                    )
-                }
+        let mut cursor = self.cursor(at, toward);
+        Some(self.step(net, at, &mut cursor).ports)
+    }
+
+    /// Decodes the walk `at → toward` once: both positions, the
+    /// destination's digits and the differing-level mask.
+    fn cursor(&self, at: NodeId, toward: NodeId) -> Cursor {
+        assert!(
+            at.0 < self.servers && toward.0 < self.servers,
+            "fib walk {at}->{toward}: endpoints must be servers of the table"
+        );
+        let (n, m) = (self.n, self.m);
+        let mut cursor = Cursor {
+            pos: at.0 % m,
+            dst_pos: toward.0 % m,
+            mask: 0,
+            dst_digits: [0; MAX_LEVELS],
+        };
+        let (mut a, mut b) = (at.0 / m, toward.0 / m);
+        for (level, digit) in cursor.dst_digits[..self.levels as usize]
+            .iter_mut()
+            .enumerate()
+        {
+            *digit = b % n;
+            if a % n != *digit {
+                cursor.mask |= 1 << level;
             }
+            a /= n;
+            b /= n;
+        }
+        cursor
+    }
+
+    /// One hop out of server `at`: the strategy's first level from the
+    /// cursor, then two port cells and two adjacency reads. Advances the
+    /// cursor to the server reached.
+    fn step(&self, net: &Network, at: NodeId, cursor: &mut Cursor) -> Hop {
+        let first =
+            self.strategy
+                .first_differing(&self.params, cursor.mask, cursor.pos, cursor.dst_pos);
+        let toward = match first {
+            Some(level) if self.owner[level as usize] == cursor.pos => {
+                // Correct the digit through the owned level switch, exiting
+                // toward the destination's digit. The switch's compact
+                // index is its node id past the servers and crossbars.
+                let sport = self.level_sport[at.index() * self.levels as usize + level as usize];
+                let via = net.neighbors(at)[usize::from(sport)];
+                let switch = (via.0 .0 - self.level_base) as usize;
+                let digit = cursor.dst_digits[level as usize] as usize;
+                let wport = self.level_wport[switch * self.n as usize + digit];
+                cursor.mask &= !(1 << level);
+                return Hop {
+                    ports: (sport, wport),
+                    via,
+                    next: net.neighbors(via.0)[usize::from(wport)],
+                };
+            }
+            // Reach the owner through the group crossbar first.
+            Some(level) => self.owner[level as usize],
             // Same label, different position: one crossbar hop finishes.
-            None => (
-                self.crossbar_sport[at.index()],
-                self.crossbar_wport[su.label.0 as usize * m + sd.pos as usize],
-            ),
-        })
+            None => cursor.dst_pos,
+        };
+        let sport = self.crossbar_sport[at.index()];
+        let via = net.neighbors(at)[usize::from(sport)];
+        let crossbar = (via.0 .0 - self.servers) as usize;
+        let wport = self.crossbar_wport[crossbar * self.m as usize + toward as usize];
+        let next = net.neighbors(via.0)[usize::from(wport)];
+        // The position of the server actually reached, so a corrupt cell
+        // leaves the cursor true to the walk and trips the length bound.
+        cursor.pos = next.0 .0 % self.m;
+        Hop {
+            ports: (sport, wport),
+            via,
+            next,
+        }
+    }
+
+    /// The one walk: appends `src`, then both nodes of every hop to
+    /// `nodes`, handing each hop to `visit`.
+    fn walk(
+        &self,
+        net: &Network,
+        src: NodeId,
+        dst: NodeId,
+        nodes: &mut Vec<NodeId>,
+        mut visit: impl FnMut(&Hop),
+    ) {
+        let mut cursor = self.cursor(src, dst);
+        let bound = nodes.len() + self.max_nodes();
+        nodes.push(src);
+        let mut cur = src;
+        while cur != dst {
+            assert!(
+                nodes.len() < bound,
+                "fib walk {src}->{dst} exceeded the route-length bound — corrupt table"
+            );
+            let hop = self.step(net, cur, &mut cursor);
+            visit(&hop);
+            nodes.push(hop.via.0);
+            nodes.push(hop.next.0);
+            cur = hop.next.0;
+        }
     }
 
     /// Walks the table from `src` to `dst`, appending the full node
@@ -219,26 +328,12 @@ impl HierFib {
     /// corruption guard — if the walk exceeds the worst-case route length
     /// of any strategy (every level paying a crossbar and a switch hop).
     pub fn walk_into(&self, net: &Network, src: NodeId, dst: NodeId, nodes: &mut Vec<NodeId>) {
-        let cap = self.max_nodes as usize;
-        nodes.push(src);
-        let mut cur = src;
-        while cur != dst {
-            assert!(
-                nodes.len() < cap,
-                "fib walk {src}->{dst} exceeded the route-length bound — corrupt table"
-            );
-            let (sport, wport) = self.ports(cur, dst).expect("cur != dst");
-            let (via, _) = net.neighbors(cur)[sport as usize];
-            let (next, _) = net.neighbors(via)[wport as usize];
-            nodes.push(via);
-            nodes.push(next);
-            cur = next;
-        }
+        self.walk(net, src, dst, nodes, |_| {});
     }
 
     /// The compiled route `src → dst` as a [`Route`].
     pub fn route(&self, net: &Network, src: NodeId, dst: NodeId) -> Route {
-        let mut nodes = Vec::with_capacity(self.max_nodes as usize);
+        let mut nodes = Vec::with_capacity(self.max_nodes());
         self.walk_into(net, src, dst, &mut nodes);
         Route::new(nodes)
     }
@@ -247,6 +342,10 @@ impl HierFib {
     /// reporting whether every traversed node and link is alive — the
     /// hot-path equivalent of `Route::validate(net, Some(mask))` for a
     /// structurally valid table walk.
+    ///
+    /// # Panics
+    ///
+    /// As [`HierFib::walk_into`].
     pub fn walk_live_into(
         &self,
         net: &Network,
@@ -255,29 +354,37 @@ impl HierFib {
         dst: NodeId,
         nodes: &mut Vec<NodeId>,
     ) -> bool {
-        let cap = self.max_nodes as usize;
-        nodes.push(src);
         let mut alive = mask.node_alive(src);
-        let mut cur = src;
-        while cur != dst {
-            assert!(
-                nodes.len() < cap,
-                "fib walk {src}->{dst} exceeded the route-length bound — corrupt table"
-            );
-            let (sport, wport) = self.ports(cur, dst).expect("cur != dst");
-            let (via, l1) = net.neighbors(cur)[sport as usize];
-            let (next, l2) = net.neighbors(via)[wport as usize];
+        self.walk(net, src, dst, nodes, |hop| {
             alive = alive
-                && mask.link_alive(l1)
-                && mask.node_alive(via)
-                && mask.link_alive(l2)
-                && mask.node_alive(next);
-            nodes.push(via);
-            nodes.push(next);
-            cur = next;
-        }
+                && mask.link_alive(hop.via.1)
+                && mask.node_alive(hop.via.0)
+                && mask.link_alive(hop.next.1)
+                && mask.node_alive(hop.next.0);
+        });
         alive
     }
+}
+
+/// A walk's state toward one destination, decoded once at its start.
+struct Cursor {
+    /// Group position of the current server.
+    pos: u32,
+    /// Group position of the destination.
+    dst_pos: u32,
+    /// Bit `i` is set while the current label differs from the
+    /// destination's at level `i`.
+    mask: u32,
+    /// The destination's digit at each level.
+    dst_digits: [u32; MAX_LEVELS],
+}
+
+/// One table hop: the two egress ports and the `(node, link)` each
+/// leads to — the switch crossed, then the next server.
+struct Hop {
+    ports: (u16, u16),
+    via: (NodeId, LinkId),
+    next: (NodeId, LinkId),
 }
 
 #[cfg(test)]
@@ -297,12 +404,56 @@ mod tests {
         let dense_bytes = 4 * servers * servers;
         let hier = FibCompiler::shortest().compile(&t).unwrap();
         assert_eq!(hier.servers(), 192);
-        assert!(hier.ports(NodeId(0), NodeId(0)).is_none());
-        assert!(hier.ports(NodeId(0), NodeId(191)).is_some());
+        assert!(hier.ports(t.network(), NodeId(0), NodeId(0)).is_none());
+        assert!(hier.ports(t.network(), NodeId(0), NodeId(191)).is_some());
         assert!(
             dense_bytes >= 10 * hier.bytes(),
             "dense 4·N² = {dense_bytes} vs hier {}",
             hier.bytes()
+        );
+    }
+
+    /// ABCCC(4,2,2) with one cell corrupted: label 0's crossbar exit toward
+    /// position 2 leads back to position 0. Server 0 → server 50 (label
+    /// 16, position 2: only level 2 differs, owned by position 2) starts
+    /// with exactly that crossbar hop, so its walk returns to the source
+    /// forever.
+    fn corrupt_walk() -> (Abccc, HierFib, NodeId, NodeId) {
+        let t = topo(4, 2, 2);
+        let mut hier = FibCompiler::shortest().compile(&t).unwrap();
+        let (src, dst) = (NodeId(0), NodeId(50));
+        assert_eq!(
+            hier.ports(t.network(), src, dst),
+            Some((hier.crossbar_sport[0], hier.crossbar_wport[2]))
+        );
+        hier.crossbar_wport[2] = hier.crossbar_wport[0];
+        (t, hier, src, dst)
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded the route-length bound — corrupt table")]
+    fn a_corrupt_cell_trips_the_length_guard_of_walk_into() {
+        let (t, hier, src, dst) = corrupt_walk();
+        hier.walk_into(t.network(), src, dst, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeded the route-length bound — corrupt table")]
+    fn a_corrupt_cell_trips_the_length_guard_of_walk_live_into() {
+        let (t, hier, src, dst) = corrupt_walk();
+        let mask = FaultMask::new(t.network());
+        hier.walk_live_into(t.network(), &mask, src, dst, &mut Vec::new());
+    }
+
+    #[test]
+    fn the_length_bound_counts_only_the_appended_nodes() {
+        let t = topo(4, 2, 2);
+        let hier = FibCompiler::shortest().compile(&t).unwrap();
+        let mut nodes = vec![NodeId(7); 2 * hier.max_nodes()];
+        hier.walk_into(t.network(), NodeId(0), NodeId(191), &mut nodes);
+        assert_eq!(
+            Route::new(nodes[2 * hier.max_nodes()..].to_vec()),
+            hier.route(t.network(), NodeId(0), NodeId(191))
         );
     }
 

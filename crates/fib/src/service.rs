@@ -205,7 +205,7 @@ impl RouteService {
         dcn_telemetry::counter!("fib.lookups").inc();
         check_endpoints(&self.topo, src, dst, self.mask.as_ref())?;
         let net = self.topo.network();
-        let mut nodes = Vec::new();
+        let mut nodes = Vec::with_capacity(self.table.max_nodes());
         match &self.mask {
             None => {
                 self.table.walk_into(net, src, dst, &mut nodes);
