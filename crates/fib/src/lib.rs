@@ -14,8 +14,10 @@
 //!   at compile time.
 //! * [`HierFib`] is the immutable compiled artifact, in a
 //!   **hierarchical digit-structured** layout: per-level sub-tables keyed
-//!   by address digits at `O(N·levels + E)` bytes, O(levels) integer work
-//!   per hop, safely shareable across threads. It breaks the O(V²) wall
+//!   by address digits at `O(N·levels + E)` bytes. A walk decodes the
+//!   destination once and then pays two port cells, two adjacency reads
+//!   and a few bit operations per hop; the table is safely shareable
+//!   across threads. It breaks the O(V²) wall
 //!   for 10⁵+-server instances, where a dense `(source, destination)`
 //!   table would need `4·N²` bytes — tens of gigabytes.
 //! * [`RouteService`] is the query front end: single and batched

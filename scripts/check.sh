@@ -5,6 +5,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Every gate writes under one temp root, removed by the one exit trap.
+TMP="$(mktemp -d)"
+trap 'rm -rf "$TMP"' EXIT
+
 echo "== cargo fmt --check"
 cargo fmt --check
 
@@ -36,9 +40,9 @@ if ! grep -q '"routed": [1-9]' <<<"$A"; then
 fi
 
 echo "== experiments tiny sweep (exit 0, nonzero rows, thread-count determinism)"
-EXP_A="$(mktemp -d)"
-EXP_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B"' EXIT
+EXP_A="$TMP/exp_a"
+EXP_B="$TMP/exp_b"
+mkdir "$EXP_A" "$EXP_B"
 "$CLI" experiments run --all --preset tiny --threads 1 --json "$EXP_A" >/dev/null
 "$CLI" experiments run --all --preset tiny --json "$EXP_B" >/dev/null
 for rows in "$EXP_A"/*.json; do
@@ -60,9 +64,9 @@ if [ "$count" -ne 25 ]; then
 fi
 
 echo "== arena gate (7-family report, 1-vs-4-thread determinism, jellyfish digest)"
-ARENA_A="$(mktemp -d)"
-ARENA_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B"' EXIT
+ARENA_A="$TMP/arena_a"
+ARENA_B="$TMP/arena_b"
+mkdir "$ARENA_A" "$ARENA_B"
 "$CLI" experiments run arena --preset tiny --threads 1 --json "$ARENA_A" >"$ARENA_A/stdout.txt" 2>/dev/null
 "$CLI" experiments run arena --preset tiny --threads 4 --json "$ARENA_B" >"$ARENA_B/stdout.txt" 2>/dev/null
 if ! cmp -s "$ARENA_A/stdout.txt" "$ARENA_B/stdout.txt"; then
@@ -94,9 +98,9 @@ if [ "$JF_DIGEST" != "$JF_WANT" ]; then
 fi
 
 echo "== traffic gate (scenario sweep 1-vs-4-thread determinism, pinned incast digest)"
-TRAF_A="$(mktemp -d)"
-TRAF_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B" "$TRAF_A" "$TRAF_B"' EXIT
+TRAF_A="$TMP/traf_a"
+TRAF_B="$TMP/traf_b"
+mkdir "$TRAF_A" "$TRAF_B"
 "$CLI" experiments run traffic_arena --preset tiny --threads 1 --json "$TRAF_A" >"$TRAF_A/stdout.txt" 2>/dev/null
 "$CLI" experiments run traffic_arena --preset tiny --threads 4 --json "$TRAF_B" >"$TRAF_B/stdout.txt" 2>/dev/null
 if ! cmp -s "$TRAF_A/stdout.txt" "$TRAF_B/stdout.txt"; then
@@ -125,9 +129,9 @@ echo "== fib gate (compile+query smoke, equivalence suite, shard-count determini
 "$CLI" fib compile 2 2 2 | grep -q 'compiled forwarding table'
 "$CLI" fib query 2 2 2 0 17 | grep -q 'via compiled table'
 cargo test -q -p dcn-fib --test equivalence --offline
-FIB_A="$(mktemp -d)"
-FIB_B="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B"' EXIT
+FIB_A="$TMP/fib_a"
+FIB_B="$TMP/fib_b"
+mkdir "$FIB_A" "$FIB_B"
 FIB_BENCH=(fib bench 2 2 2 --queries 2000 --fail-rate 0.1)
 "$CLI" "${FIB_BENCH[@]}" --shards 1 --digest "$FIB_A/digest.json" >/dev/null
 "$CLI" "${FIB_BENCH[@]}" --shards 8 --digest "$FIB_B/digest.json" >/dev/null
@@ -141,8 +145,8 @@ echo "== scale gate (streaming build, pinned fib bench digest, estimator determi
 # CSR build and the compiled table under faults. The pinned digest is the
 # one the retired dense (src, dst) table produced, so a change means the
 # table's routes or the fallback ladder moved.
-SCALE_A="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B" "$SCALE_A"' EXIT
+SCALE_A="$TMP/scale_a"
+mkdir "$SCALE_A"
 SCALE_BENCH=(fib bench 8 2 2 --queries 2000 --fail-rate 0.05)
 "$CLI" "${SCALE_BENCH[@]}" --digest "$SCALE_A/digest.json" >/dev/null
 SCALE_DIGEST="$(sha256sum "$SCALE_A/digest.json" | cut -d' ' -f1)"
@@ -189,8 +193,8 @@ fi
 # The route_server experiment's artifact is its own shard-invariance pin:
 # the same (connections, batch) combo at different shard counts must
 # reproduce the same digest (seeds derive from the combo, not the point).
-SERVE_EXP="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$ARENA_A" "$ARENA_B" "$TRAF_A" "$TRAF_B" "$FIB_A" "$FIB_B" "$SCALE_A" "$SERVE_EXP"' EXIT
+SERVE_EXP="$TMP/serve_exp"
+mkdir "$SERVE_EXP"
 "$CLI" experiments run route_server --preset tiny --json "$SERVE_EXP" >/dev/null
 SERVE_DIGESTS="$(grep -o '"digest": "[^"]*"' "$SERVE_EXP/route_server.json" | sort | uniq -c | awk '{print $1}' | sort -u)"
 if [ "$SERVE_DIGESTS" != "2" ]; then
@@ -202,8 +206,8 @@ echo "== perf sentinel (record + self-diff exits 0, causal trace valid + stable)
 # A two-experiment subset keeps the gate fast; diffing a fresh measurement
 # against baselines recorded seconds earlier must find zero regressions,
 # or the noise gates are mistuned.
-PERF_DIR="$(mktemp -d)"
-trap 'rm -rf "$EXP_A" "$EXP_B" "$FIB_A" "$FIB_B" "$SCALE_A" "$PERF_DIR"' EXIT
+PERF_DIR="$TMP/perf"
+mkdir "$PERF_DIR"
 SENTINEL=(table1_properties fig7_faults --preset tiny --runs 2 --baselines "$PERF_DIR/baselines")
 "$CLI" perf record "${SENTINEL[@]}" >/dev/null
 if ! "$CLI" perf diff "${SENTINEL[@]}" >/dev/null; then
